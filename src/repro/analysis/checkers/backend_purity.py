@@ -10,9 +10,10 @@ execution cannot reach into the timing model, and the shared
 :class:`~repro.isa.semantics.InstStream` is only backend-neutral while
 ``repro.isa`` has no path back up into the core that replays it.
 
-The detailed and sampled backends are deliberately exempt: they *are*
-the cycle-level tier (and its windowed driver), so importing
-``repro.uarch`` is their job.
+The sampled backend and the package ``__init__`` are deliberately
+exempt: the sampled tier drives the cycle-level core in its windows,
+and the dispatcher hands the detailed tier straight to
+``repro.uarch.core``, so importing ``repro.uarch`` is their job.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from repro.analysis.registry import Rule, checker
 #: Dotted module prefixes that must stay free of repro.uarch imports.
 PURE_PACKAGES = ("repro.isa",)
 
-#: Exact backend modules held to the same rule (sampled/detailed are
-#: the cycle-level tier's own adapters, and the package ``__init__``
-#: is the dispatcher; all three are exempt).
+#: Exact backend modules held to the same rule (``sampled`` drives the
+#: cycle-level core, and the package ``__init__`` is the dispatcher;
+#: both are exempt).
 PURE_MODULES = (
     "repro.backends.base",
     "repro.backends.functional",
@@ -78,6 +79,6 @@ def check_backend_purity(
                 f"backend-neutral module {name} imports {offender}",
                 "keep architectural semantics and functional "
                 "execution independent of the timing model; move "
-                "uarch-coupled code into repro.backends.detailed / "
-                "repro.backends.sampled or repro.uarch itself",
+                "uarch-coupled code into repro.backends.sampled or "
+                "repro.uarch itself",
             )

@@ -15,7 +15,7 @@ This checker bans those inputs from the simulation packages
 * entropy: ``os.urandom``;
 * environment-dependent branching: ``os.environ`` / ``os.getenv``.
 
-``time.perf_counter`` stays legal: the profiled step loop reads it for
+``time.perf_counter`` stays legal: the stage profiler reads it for
 *measurement*, never for model decisions. Seeded ``random.Random(seed)``
 instances are the sanctioned randomness source.
 """

@@ -16,9 +16,10 @@ Recognised guards:
   ``if not obs.enabled(): return`` in the same function.
 
 Call sites that are themselves only reachable from a guarded branch
-(e.g. a ``_run_profiled`` twin dispatched behind the flag) cannot be
-proven safe lexically; annotate those with an inline
-``# tealint: disable=TL002 -- <why>`` at the def line.
+(e.g. a helper called only behind the flag) cannot be proven safe
+lexically; prefer a leading ``if not obs.enabled(): return`` in the
+helper, or annotate the def line with an inline
+``# tealint: disable=TL002 -- <why>``.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ def _obs_names(module: ModuleSource) -> tuple[set[str], set[str]]:
                     if alias.name == "obs":
                         module_aliases.add(alias.asname or "obs")
             elif node.module and node.module.startswith("repro.obs"):
-                if node.module == "repro.obs.stageprof":
-                    continue  # StageProfiler/EV_* are caller-managed
                 for alias in node.names:
                     if alias.name in _OBS_API:
                         api_names.add(alias.asname or alias.name)

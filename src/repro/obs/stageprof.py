@@ -3,9 +3,22 @@
 TEA explains where *simulated* time goes; this module explains where
 the *simulator's* time goes -- the gem5 call-stack-profiling lesson
 that profiling the model itself is how you find model bugs and hot
-paths. :class:`StageProfiler` is fed per-stage ``perf_counter`` deltas
-by the core's instrumented step loop and, every *window_cycles*
-simulated cycles, flushes into the span collector:
+paths. :meth:`StageProfiler.attach` times the model that actually runs:
+it replaces the stage methods :meth:`Core.step` already calls
+(``_commit``, ``_fetch``, ...) with timing wrappers set as instance
+attributes on one core, and wraps ``step`` itself to accumulate
+structure occupancy and flush windows. ``step()`` carries no
+instrumentation of its own, so every caller that steps the core -- a
+detailed run, a sampled measurement window, a multicore co-run -- is
+profiled the same way. Wrappers record *self* time: a stage called
+from inside another (the sampler poll inside ``_fast_forward``) is
+charged to itself only, so the stage totals never double-count. Work
+``step()`` does inline (commit-state classification and golden
+attribution) belongs to no stage; it shows as the ``core.run:`` span
+minus the stage sum.
+
+Every *window_cycles* simulated cycles the profiler flushes into the
+span collector:
 
 * one ``"X"`` span per pipeline stage on a dedicated, named thread
   track (``stage:commit``, ``stage:fetch``, ...), with the wall time
@@ -14,16 +27,18 @@ simulated cycles, flushes into the span collector:
   wall second), per-stage wall milliseconds, and average structure
   occupancy (ROB, fetch buffer, issue queues).
 
-End-of-run totals land in the counter registry
-(``core.stage_s.<stage>``, ``core.occupancy.<structure>``), so the
-registry snapshot answers "which stage dominates" without opening the
-trace. Only ever constructed while instrumentation is enabled -- the
-uninstrumented step loop never touches this module.
+At the end (``Core._finish``) it emits one ``core.run:<name>`` span
+covering the profiled core's life and adds run totals to the counter
+registry (``core.stage_s.<stage>``, ``core.occupancy.<structure>``),
+so the registry snapshot answers "which stage dominates" without
+opening the trace. Only ever attached while instrumentation is enabled
+-- an uninstrumented core never touches this module.
 """
 
 from __future__ import annotations
 
 import os
+from time import perf_counter
 
 from repro.obs.counters import COUNTERS
 from repro.obs.spans import COLLECTOR, now_us
@@ -34,27 +49,20 @@ WINDOW_ENV = "REPRO_OBS_WINDOW"
 #: Default flush window in simulated cycles.
 DEFAULT_WINDOW_CYCLES = 250_000
 
-#: Pipeline stages of the instrumented step loop, in loop order.
-STAGES = (
-    "events",    # completion/writeback event processing
-    "commit",    # commit + classify + golden attribution
-    "sample",    # sampler polling (the samplers' overhead)
-    "issue",     # issue/execute
-    "dispatch",  # rename + dispatch
-    "fetch",     # fetch + branch prediction
-    "drain",     # post-commit store drain
-    "idle",      # exact fast-forward bookkeeping
+#: Pipeline stages, in ``step()`` order, and the core method each times.
+STAGE_METHODS = (
+    ("events", "_process_events"),  # completion/writeback events
+    ("commit", "_commit"),          # retirement (attribution is inline)
+    ("sample", "_poll_samplers"),   # sampler polling, incl. in idle skips
+    ("issue", "_issue"),            # issue/execute
+    ("dispatch", "_dispatch"),      # rename + dispatch
+    ("fetch", "_fetch"),            # fetch + branch prediction
+    ("drain", "_start_drain"),      # post-commit store drain
+    ("idle", "_fast_forward"),      # exact fast-forward bookkeeping
 )
 
-# Indices for the core's hot adds (list indexing beats dict lookups).
-EV_EVENTS = 0
-EV_COMMIT = 1
-EV_SAMPLE = 2
-EV_ISSUE = 3
-EV_DISPATCH = 4
-EV_FETCH = 5
-EV_DRAIN = 6
-EV_IDLE = 7
+#: Stage names, in ``step()`` order.
+STAGES = tuple(stage for stage, _method in STAGE_METHODS)
 
 #: Synthetic tid base for the per-stage trace tracks.
 _STAGE_TID_BASE = 9000
@@ -98,11 +106,66 @@ class StageProfiler:
         self._cycles_seen = 0
         self._total_cycles = 0
         self._window_start_cycle = 0
-        self._window_start_us = now_us()
+        self._window_start_us = self._start_us = now_us()
         self._named_tracks = False
         self.windows_flushed = 0
+        # Wall time of stages nested inside the running wrapper, so
+        # each wrapper can charge its own self time (see _timed).
+        self._nested = [0.0]
 
-    # -- hot-path feeds (called from the instrumented step loop) -------
+    # -- attaching to a core -------------------------------------------
+    @classmethod
+    def attach(cls, core) -> "StageProfiler":
+        """Profile *core* by wrapping the methods its ``step()`` calls.
+
+        The wrappers are instance attributes, so they shadow the class
+        methods for this core only and results stay bit-identical:
+        they call the original method with the original arguments and
+        only read the clock and the core's structure sizes.
+        """
+        prof = cls(core.program.name)
+        for index, (_stage, method) in enumerate(STAGE_METHODS):
+            setattr(core, method, prof._timed(index, getattr(core, method)))
+        step = core.step
+        rob = core.rob
+        fetch_buffer = core.fetch_buffer
+        iq_occ = core._iq_occ
+
+        def profiled_step(horizon: int | None = None) -> None:
+            before = core.cycle
+            step(horizon)
+            cycle = core.cycle
+            # Occupancy is unchanged across fast-forwarded cycles
+            # (nothing progressed), so weighting by the cycles this
+            # step advanced yields exact per-simulated-cycle averages.
+            prof.occupancy(
+                len(rob), len(fetch_buffer), iq_occ["int"],
+                iq_occ["mem"], iq_occ["fp"], cycle - before,
+            )
+            prof.maybe_flush(cycle)
+
+        core.step = profiled_step
+        return prof
+
+    def _timed(self, index: int, method):
+        """Wrap *method* to charge its self time to stage *index*."""
+        acc = self._acc
+        nested = self._nested
+        perf = perf_counter
+
+        def timed(*args):
+            outer = nested[0]
+            nested[0] = 0.0
+            start = perf()
+            result = method(*args)
+            elapsed = perf() - start
+            acc[index] += elapsed - nested[0]
+            nested[0] = outer + elapsed
+            return result
+
+        return timed
+
+    # -- feeds ---------------------------------------------------------
     def add(self, stage: int, seconds: float) -> None:
         """Accumulate *seconds* of wall time against a stage index."""
         self._acc[stage] += seconds
@@ -194,6 +257,12 @@ class StageProfiler:
     def finish(self, cycle: int) -> None:
         """Flush the trailing partial window and report run totals."""
         self.flush(cycle)
+        COLLECTOR.add_complete(
+            f"core.run:{self.name}",
+            self._start_us,
+            max(self._window_start_us - self._start_us, 0),
+            {"cycles": self._total_cycles},
+        )
         for index, stage in enumerate(STAGES):
             COUNTERS.inc(f"core.stage_s.{stage}", self._totals[index])
         if self._total_cycles:
