@@ -12,7 +12,10 @@ store round-trip tests pin down.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -96,13 +99,36 @@ class LoadedSampler:
         )
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the body.
+
+    Building a workload and simulating it allocate millions of objects
+    but almost no reference cycles, so cyclic collections there find
+    nearly nothing while walking every live object (memoised runs
+    included). Reference counting still frees everything acyclic.
+    Re-entrant: GC is re-enabled on exit -- normal or by exception --
+    only if it was enabled on entry, so nested pauses and a caller's
+    own ``gc.disable()`` are left as they were.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def build_workload(spec: RunSpec) -> Workload:
     """Build the workload a spec names (fresh program and state).
 
     Raises:
         KeyError: For an unknown workload name.
     """
-    return build(spec.workload, scale=spec.scale, **spec.workload_kwargs)
+    with gc_paused():
+        return build(spec.workload, scale=spec.scale,
+                     **spec.workload_kwargs)
 
 
 def simulate_spec(
@@ -114,40 +140,42 @@ def simulate_spec(
     runs carry no samplers (the golden profile is still produced); the
     detailed and sampled tiers attach the full plan.
     """
-    workload = workload or build_workload(spec)
-    backend = getattr(spec, "backend", "detailed")
-    if backend == "functional":
-        from repro.backends.functional import simulate_functional
+    with gc_paused():
+        workload = workload or build_workload(spec)
+        backend = getattr(spec, "backend", "detailed")
+        if backend == "functional":
+            from repro.backends.functional import simulate_functional
 
-        result = simulate_functional(
-            workload.program,
-            config=spec.config,
-            arch_state=workload.fresh_state(),
-        )
-        return BenchmarkRun(workload=workload, result=result, samplers={})
-    samplers: dict[str, Sampler] = {}
-    for key, technique, period, seed in spec.sampler_plan():
-        samplers[key] = make_sampler(
-            technique, period, jitter=spec.jitter, seed=seed
-        )
-    if backend == "sampled":
-        from repro.backends.sampled import SampledBackend
+            result = simulate_functional(
+                workload.program,
+                config=spec.config,
+                arch_state=workload.fresh_state(),
+            )
+            return BenchmarkRun(workload=workload, result=result,
+                                samplers={})
+        samplers: dict[str, Sampler] = {}
+        for key, technique, period, seed in spec.sampler_plan():
+            samplers[key] = make_sampler(
+                technique, period, jitter=spec.jitter, seed=seed
+            )
+        if backend == "sampled":
+            from repro.backends.sampled import SampledBackend
 
-        result = SampledBackend(plan=spec.window_plan()).simulate(
-            workload.program,
-            config=spec.config,
-            samplers=list(samplers.values()),
-            arch_state=workload.fresh_state(),
-        )
-    else:
-        result = simulate(
-            workload.program,
-            config=spec.config,
-            samplers=list(samplers.values()),
-            arch_state=workload.fresh_state(),
-        )
-    return BenchmarkRun(workload=workload, result=result,
-                        samplers=samplers)
+            result = SampledBackend(plan=spec.window_plan()).simulate(
+                workload.program,
+                config=spec.config,
+                samplers=list(samplers.values()),
+                arch_state=workload.fresh_state(),
+            )
+        else:
+            result = simulate(
+                workload.program,
+                config=spec.config,
+                samplers=list(samplers.values()),
+                arch_state=workload.fresh_state(),
+            )
+        return BenchmarkRun(workload=workload, result=result,
+                            samplers=samplers)
 
 
 def run_to_payload(

@@ -96,6 +96,9 @@ class Interpreter:
         # False forces the interpreted path; the equivalence tests compare
         # the two streams instruction by instruction.
         self.compiled = compiled
+        #: Closures the compiled path has built: one per distinct pc
+        #: executed, since each pc compiles on its first execution.
+        self.compiled_pcs = 0
 
     def run(self) -> Iterator[DynInst]:
         """Yield one :class:`DynInst` per committed instruction until HALT.
@@ -116,8 +119,7 @@ class Interpreter:
         and constant result tuple into a closure; anything it cannot prove
         exact falls back to :meth:`_execute` per instruction).
         """
-        program = self.program
-        handlers = _compile_program(program, self.state, self._execute)
+        handlers = _compile_program(self.program, self.state)
         if handlers is None:
             # Seeded register state breaks the type invariant the
             # specializer relies on; run fully interpreted.
@@ -126,8 +128,17 @@ class Interpreter:
 
     def _drive_compiled(self, handlers) -> Iterator[DynInst]:
         program = self.program
+        state = self.state
+        # A closure depends on its static instruction and on which
+        # containers it reads, never on their values, so compiling a pc
+        # on its first execution is exact; programs whose static code
+        # mostly never runs (gcc) skip the bulk of the work.
+        int_regs = state.int_regs
+        fp_regs = state.fp_regs
+        memory = state.memory
+        fallback = self._execute
         n_insts = len(program)
-        insts = [program[i] for i in range(n_insts)]
+        insts = program.insts
         is_halt = [inst.op is Opcode.HALT for inst in insts]
         max_insts = self.max_insts
         pc = 0
@@ -142,7 +153,13 @@ class Interpreter:
                     f"{program.name}: exceeded {max_insts} committed "
                     "instructions without HALT"
                 )
-            next_pc, eff_addr, taken = handlers[pc]()
+            handler = handlers[pc]
+            if handler is None:
+                handler = handlers[pc] = _compile_inst(
+                    insts[pc], pc, int_regs, fp_regs, memory, fallback
+                )
+                self.compiled_pcs += 1
+            next_pc, eff_addr, taken = handler()
             yield DynInst(insts[pc], seq, eff_addr, taken, next_pc)
             seq += 1
             self.inst_count = seq
@@ -373,19 +390,18 @@ class Interpreter:
 # (Interpreter(compiled=False)) and the equivalence tests compare the
 # two streams instruction by instruction.
 # ----------------------------------------------------------------------
-def _compile_program(program, state, fallback):
-    """Compile *program* to per-pc closures, or None if state forbids it."""
-    int_regs = state.int_regs
-    fp_regs = state.fp_regs
-    if not all(type(v) is int for v in int_regs):
+def _compile_program(program, state):
+    """An empty per-pc handler table for *program*, or None if state
+    forbids compiling it.
+
+    The table is filled lazily: ``Interpreter._drive_compiled`` compiles
+    a pc with :func:`_compile_inst` the first time it executes.
+    """
+    if not all(type(v) is int for v in state.int_regs):
         return None
-    if not all(type(v) is float for v in fp_regs):
+    if not all(type(v) is float for v in state.fp_regs):
         return None
-    memory = state.memory
-    return [
-        _compile_inst(program[i], i, int_regs, fp_regs, memory, fallback)
-        for i in range(len(program))
-    ]
+    return [None] * len(program)
 
 
 def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):

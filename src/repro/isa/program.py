@@ -9,9 +9,16 @@ function extents, and basic-block boundaries. Programs are produced by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.isa.instructions import StaticInst
-from repro.isa.opcodes import BRANCH_OPS, CONTROL_OPS, Opcode
+from repro.isa.opcodes import (
+    BRANCH_OPS,
+    CONTROL_OPS,
+    Opcode,
+    OpClass,
+    op_class,
+)
 
 
 class ProgramError(ValueError):
@@ -56,6 +63,7 @@ class Program:
         self.functions: tuple[FunctionInfo, ...] = self._compute_functions()
         self._func_of: tuple[str, ...] = tuple(i.func for i in self.insts)
         self.basic_blocks: tuple[int, ...] = self._compute_basic_blocks()
+        self._by_class: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.insts)
@@ -148,6 +156,38 @@ class Program:
                 current_leader = pos
             mapping.append(current_leader)
         return tuple(mapping)
+
+    # Per-index static tables the timing model reads on its hot path,
+    # built once per program and shared by every core that runs it (the
+    # sampled tier builds one core per window).
+    @cached_property
+    def sources_by_index(self) -> tuple[tuple[int, ...], ...]:
+        """Each instruction's source registers (``StaticInst.sources()``
+        builds a fresh tuple per call)."""
+        return tuple(inst.sources() for inst in self.insts)
+
+    @cached_property
+    def class_by_index(self) -> tuple[OpClass, ...]:
+        """Each instruction's :class:`OpClass`."""
+        return tuple(op_class(inst.op) for inst in self.insts)
+
+    @cached_property
+    def control_by_index(self) -> tuple[bool, ...]:
+        """Whether each instruction may redirect the program counter."""
+        return tuple(inst.op in CONTROL_OPS for inst in self.insts)
+
+    def by_class(self, per_class: tuple) -> tuple:
+        """``per_class[c]`` for each instruction's op class ``c``.
+
+        *per_class* is indexed by :class:`OpClass` value; the result is
+        cached per distinct *per_class*.
+        """
+        table = self._by_class.get(per_class)
+        if table is None:
+            table = self._by_class[per_class] = tuple(
+                per_class[c] for c in self.class_by_index
+            )
+        return table
 
     # Set of conditional-branch static indices (used by predictors/tests).
     @property

@@ -21,6 +21,7 @@ from repro.core.samplers import Sampler, make_sampler
 from repro.engine.runs import (
     BenchmarkRun,
     build_workload,
+    gc_paused,
     run_to_payload,
 )
 from repro.engine.spec import RunSpec
@@ -63,37 +64,38 @@ def capture_run(
             f"trace capture needs the detailed backend, not "
             f"{spec.backend!r} (spec {spec.label()})"
         )
-    workload = build_workload(spec)
-    store = TraceStore()
-    samplers: dict[str, Sampler] = {}
-    for key, technique, period, seed in spec.sampler_plan():
-        sampler = make_sampler(
-            technique, period, jitter=spec.jitter, seed=seed
+    with gc_paused():
+        workload = build_workload(spec)
+        store = TraceStore()
+        samplers: dict[str, Sampler] = {}
+        for key, technique, period, seed in spec.sampler_plan():
+            sampler = make_sampler(
+                technique, period, jitter=spec.jitter, seed=seed
+            )
+            sampler.sink = store.sampler_sink(key, batch=batch)
+            samplers[key] = sampler
+        result = simulate(
+            workload.program,
+            config=spec.config,
+            samplers=list(samplers.values()),
+            arch_state=workload.fresh_state(),
+            cycle_trace=store,
         )
-        sampler.sink = store.sampler_sink(key, batch=batch)
-        samplers[key] = sampler
-    result = simulate(
-        workload.program,
-        config=spec.config,
-        samplers=list(samplers.values()),
-        arch_state=workload.fresh_state(),
-        cycle_trace=store,
-    )
-    store.meta.update(
-        {
-            "workload": spec.workload,
-            "label": spec.label(),
-            "cycles": result.cycles,
-            "committed": result.committed,
-            "rows": store.row_counts(),
-        }
-    )
-    if span_events:
-        store.ingest_span_events(span_events)
-    run = BenchmarkRun(
-        workload=workload, result=result, samplers=samplers
-    )
-    return run, store
+        store.meta.update(
+            {
+                "workload": spec.workload,
+                "label": spec.label(),
+                "cycles": result.cycles,
+                "committed": result.committed,
+                "rows": store.row_counts(),
+            }
+        )
+        if span_events:
+            store.ingest_span_events(span_events)
+        run = BenchmarkRun(
+            workload=workload, result=result, samplers=samplers
+        )
+        return run, store
 
 
 def ensure_trace(

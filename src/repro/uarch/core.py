@@ -64,7 +64,7 @@ from repro.core.pics import PicsProfile
 from repro.core.states import CommitState
 from repro.isa.instructions import INST_BYTES, NO_REG, DynInst
 from repro.isa.interpreter import ArchState
-from repro.isa.opcodes import Opcode, OpClass, op_class
+from repro.isa.opcodes import Opcode, OpClass
 from repro.isa.program import Program
 from repro.isa.semantics import InstStream
 from repro.memory.hierarchy import MemoryHierarchy
@@ -235,29 +235,15 @@ class Core:
             predictor if predictor is not None
             else BranchPredictor(self.config.branch)
         )
-        self._queue_by_op = {
-            op: self.config.queue_of(op_class(op)) for op in Opcode
-        }
-        self._class_by_op = {op: op_class(op) for op in Opcode}
-        # Static-instruction register operands, precomputed per program
-        # index (StaticInst.sources() builds a fresh tuple per call --
-        # far too hot for the rename stage).
-        self._sources_by_index: list[tuple[int, ...]] = [
-            inst.sources() for inst in program
-        ]
-        # Per-program-index fetch metadata: issue queue, op class, and
-        # whether _handle_control has anything to do for the µop.
-        self._queue_by_index: list[str] = [
-            self._queue_by_op[inst.op] for inst in program
-        ]
-        self._class_by_index: list[OpClass] = [
-            self._class_by_op[inst.op] for inst in program
-        ]
-        self._control_by_index: list[bool] = [
-            self._class_by_op[inst.op] is OpClass.BRANCH
-            or inst.op in (Opcode.JUMP, Opcode.CALL, Opcode.RET)
-            for inst in program
-        ]
+        # Per-program-index static tables, built once per program:
+        # register operands (for rename), fetch metadata (issue queue,
+        # op class) and whether _handle_control has anything to do.
+        self._sources_by_index = program.sources_by_index
+        self._class_by_index = program.class_by_index
+        self._control_by_index = program.control_by_index
+        self._queue_by_index = program.by_class(
+            tuple(self.config.queue_of(c) for c in OpClass)
+        )
         # The dynamic-instruction stream may be shared with other
         # backends (sampled windows): architectural state and stream
         # position live on the stream, not the core. ``source`` and
@@ -806,6 +792,10 @@ class Core:
                 break
             rob.popleft()
             head.committed = True
+            # prev_writer only serves a squash, which a committed µop
+            # never sees; dropping it keeps each register's writer chain
+            # from retaining every µop that ever wrote it.
+            head.prev_writer = None
             if committed is None:
                 committed = [head]
             else:
@@ -1336,6 +1326,12 @@ class Core:
                             self._last_writer[rd] = uop.prev_writer
                         else:
                             del self._last_writer[rd]
+            # A squashed µop never completes, so nothing clears these
+            # links otherwise (they would hold producer/consumer pairs
+            # in reference cycles). Only older µops' links are read
+            # after this point (squashed runs youngest first).
+            uop.prev_writer = None
+            uop.dependents = None
             pend = uop.pending_samples
             if pend:
                 for sampler, _weight in pend:

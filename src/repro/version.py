@@ -84,7 +84,7 @@ SEMANTIC_HASHES = {
     "src/repro/core/samplers.py":
         "a8ff11cc77d071770c55205a147d8257b115fa66a6bb6546db0f33647cf125b2",
     "src/repro/isa/interpreter.py":
-        "e04c73de307cb31d15aead2e97a7a17c081828d5dbfa1937c4a892f0aed73c26",
+        "720cc16d89565fab00bcf2d72627d20dfacd693f2c1c016b59da732dfb182d49",
     "src/repro/isa/semantics.py":
         "550caae32ecb0bcb606e678f97e0c431cc044d3c459d5c21c7af9b889ec57f10",
     "src/repro/memory/cache.py":
@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "a71c05662efd1cb7d11f607965d994f62edac4e089c5d077f61ce08db2e99df1",
+        "81933da9be917bafa972a72c69bdfcd88f02e72f6770812517684821d24257d8",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

@@ -88,3 +88,14 @@ def test_seeded_state_violating_invariant_falls_back():
     bb, ib = _stream(program, state2, False)
     assert a == bb
     assert _state_snapshot(ia.state) == _state_snapshot(ib.state)
+
+
+def test_closures_compile_only_for_executed_pcs():
+    """Each pc compiles on its first execution: gcc, whose static code
+    mostly never runs, builds one closure per distinct executed pc."""
+    workload = build("gcc", scale=0.05)
+    interp = Interpreter(workload.program, workload.fresh_state())
+    executed = {d.static.index for d in interp.run()}
+    assert interp.halted
+    assert interp.compiled_pcs == len(executed)
+    assert interp.compiled_pcs * 50 < len(workload.program)
