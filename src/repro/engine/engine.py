@@ -48,6 +48,7 @@ from repro.engine.runs import (
 from repro.engine.spec import RunSpec
 from repro.engine.store import RunStore
 from repro.engine.telemetry import RunLog, RunMetrics
+from repro.workloads import Workload
 
 
 class Engine:
@@ -112,6 +113,7 @@ class Engine:
         self.last_suite_report: SuiteReport | None = None
         self.last_monitor = None
         self._memo: dict[str, BenchmarkRun] = {}
+        self._workloads: dict[str, Workload] = {}
 
     # ------------------------------------------------------------------
     # Single runs.
@@ -119,6 +121,22 @@ class Engine:
     def cached(self, spec: RunSpec) -> BenchmarkRun | None:
         """The memoised run for *spec*, if any (no store probe)."""
         return self._memo.get(spec.key)
+
+    def workload(self, spec: RunSpec) -> Workload:
+        """The built workload *spec* names, built once per engine.
+
+        Specs that differ only in backend, period, samplers or seeds
+        share one :class:`~repro.workloads.base.Workload`: its program
+        is immutable and every run takes per-run state from
+        :meth:`~repro.workloads.base.Workload.fresh_state`, so the
+        sampled, functional and detailed runs of a kernel pay for its
+        program (and its per-index tables) once.
+        """
+        workload = self._workloads.get(spec.build_key)
+        if workload is None:
+            workload = build_workload(spec)
+            self._workloads[spec.build_key] = workload
+        return workload
 
     def run(self, spec: RunSpec) -> BenchmarkRun:
         """Serve one spec: memo, then store, then simulate."""
@@ -129,7 +147,7 @@ class Engine:
             return run
         start = time.perf_counter()
         with obs.span(f"engine.run:{spec.workload}", key=spec.key):
-            workload = build_workload(spec)
+            workload = self.workload(spec)
             payload = (
                 self.store.load(spec) if self.store is not None else None
             )
@@ -222,7 +240,7 @@ class Engine:
                     else None
                 )
                 if payload is not None:
-                    run = run_from_payload(payload, build_workload(spec))
+                    run = run_from_payload(payload, self.workload(spec))
                     self._memo[spec.key] = run
                     obs.COUNTERS.inc("engine.store_hits")
                     self._record(
@@ -264,7 +282,7 @@ class Engine:
             # else can fail, so completed work survives an interrupted
             # or partially failed suite.
             spec = missing[label]
-            run = run_from_payload(payload, build_workload(spec))
+            run = run_from_payload(payload, self.workload(spec))
             self.simulations += 1
             obs.COUNTERS.inc("engine.simulations")
             if self.store is not None:

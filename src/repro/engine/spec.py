@@ -312,6 +312,23 @@ class RunSpec:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    @cached_property
+    def build_key(self) -> str:
+        """Canonical form of the inputs that build the workload.
+
+        Workload name, builder kwargs and scale -- nothing else a spec
+        carries (backend, period, samplers, seeds, core config) reaches
+        :func:`~repro.workloads.build`, so specs with equal build keys
+        build identical workloads. Kwargs go through :func:`canonical`,
+        so ``1`` and ``1.0`` stay distinct and list values are keyable.
+        """
+        payload = self.canonical_payload()
+        return json.dumps(
+            [payload["workload"], payload["kwargs"], payload["scale"]],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+
     def window_plan(self):
         """The sampled-mode :class:`WindowPlan` this spec describes.
 

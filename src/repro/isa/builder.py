@@ -90,6 +90,35 @@ class ProgramBuilder:
         """Index the next emitted instruction will have."""
         return len(self._insts)
 
+    def pad_to(self, index: int) -> "ProgramBuilder":
+        """Emit NOPs until the next instruction has index *index*.
+
+        Equivalent to calling :meth:`nop` ``index - here()`` times, in
+        one list extend: a pending label lands on the first NOP only,
+        and the rest share one pending record (:meth:`build` only
+        reads them).
+
+        Raises:
+            ProgramError: If *index* is below :meth:`here`.
+        """
+        count = index - len(self._insts)
+        if count < 0:
+            raise ProgramError(
+                f"{self.name}: cannot pad to {index}, already at "
+                f"{len(self._insts)}"
+            )
+        if count == 0:
+            return self
+        func = self._current_func
+        self._insts.append(
+            _PendingInst(Opcode.NOP, func=func, label=self._pending_label)
+        )
+        self._pending_label = None
+        self._insts.extend(
+            [_PendingInst(Opcode.NOP, func=func)] * (count - 1)
+        )
+        return self
+
     # ------------------------------------------------------------------
     # Emission helper.
     # ------------------------------------------------------------------
@@ -304,27 +333,32 @@ class ProgramBuilder:
         Raises:
             ProgramError: On unresolved labels or validation failure.
         """
+        labels = self._labels
         insts: list[StaticInst] = []
+        append = insts.append
         for index, pending in enumerate(self._insts):
-            target = -1
-            if pending.target_label is not None:
-                if pending.target_label not in self._labels:
-                    raise ProgramError(
-                        f"{self.name}: unresolved label "
-                        f"{pending.target_label!r}"
-                    )
-                target = self._labels[pending.target_label]
-            insts.append(
+            target_label = pending.target_label
+            if target_label is None:
+                target = -1
+            elif target_label in labels:
+                target = labels[target_label]
+            else:
+                raise ProgramError(
+                    f"{self.name}: unresolved label {target_label!r}"
+                )
+            # Positional: index, op, rd, rs1, rs2, imm, target, func,
+            # label (StaticInst's field order).
+            append(
                 StaticInst(
-                    index=index,
-                    op=pending.op,
-                    rd=pending.rd,
-                    rs1=pending.rs1,
-                    rs2=pending.rs2,
-                    imm=pending.imm,
-                    target=target,
-                    func=pending.func,
-                    label=pending.label,
+                    index,
+                    pending.op,
+                    pending.rd,
+                    pending.rs1,
+                    pending.rs2,
+                    pending.imm,
+                    target,
+                    pending.func,
+                    pending.label,
                 )
             )
-        return Program(self.name, insts, self._labels)
+        return Program(self.name, insts, labels)

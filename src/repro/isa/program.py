@@ -137,24 +137,28 @@ class Program:
         """Map every instruction index to its basic-block leader index.
 
         Leaders are: instruction 0, every control-flow target, and every
-        instruction following a control-flow instruction or a HALT.
+        instruction following a control-flow instruction, a HALT or a
+        SERIAL.
         """
+        count = len(self.insts)
         leaders = {0}
         for inst in self.insts:
-            if inst.op in CONTROL_OPS:
+            op = inst.op
+            if op in CONTROL_OPS:
                 if inst.target >= 0:
                     leaders.add(inst.target)
-                if inst.index + 1 < len(self.insts):
+                if inst.index + 1 < count:
                     leaders.add(inst.index + 1)
-            elif inst.op in (Opcode.HALT, Opcode.SERIAL):
-                if inst.index + 1 < len(self.insts):
+            elif op is Opcode.HALT or op is Opcode.SERIAL:
+                if inst.index + 1 < count:
                     leaders.add(inst.index + 1)
-        mapping = []
-        current_leader = 0
-        for pos in range(len(self.insts)):
-            if pos in leaders:
-                current_leader = pos
-            mapping.append(current_leader)
+        # One extend per block: each leader covers the indices up to
+        # the next leader (every leader is in range, so the extents
+        # tile [0, count) exactly).
+        ordered = sorted(leaders)
+        mapping: list[int] = []
+        for leader, end in zip(ordered, ordered[1:] + [count]):
+            mapping.extend([leader] * (end - leader))
         return tuple(mapping)
 
     # Per-index static tables the timing model reads on its hot path,

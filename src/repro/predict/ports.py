@@ -60,6 +60,12 @@ class PortModel:
 
     config: CoreConfig = field(default_factory=CoreConfig)
     latency_override: dict[OpClass, int] = field(default_factory=dict)
+    # One (queue, latency, recip_throughput, unpipelined) row per op
+    # class, derived on first use; not an init field, so the copies
+    # sabotage()/replace() make start empty.
+    _rows: dict[OpClass, tuple[str, int, float, bool]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def latency_of(self, op_class: OpClass) -> int:
         """Result latency for *op_class* under this model.
@@ -74,14 +80,22 @@ class PortModel:
             return self.config.memory.l1d_latency
         return self.config.latencies.get(op_class, 1)
 
+    def _row(self, op_class: OpClass) -> tuple[str, int, float, bool]:
+        """The port row of *op_class*, derived once per model."""
+        row = self._rows.get(op_class)
+        if row is None:
+            queue = self.config.queue_of(op_class)
+            latency = self.latency_of(op_class)
+            unpipelined = op_class in self.config.unpipelined
+            width = self.config.issue_width[queue]
+            recip = (latency if unpipelined else 1) / width
+            row = self._rows[op_class] = (queue, latency, recip, unpipelined)
+        return row
+
     def cost(self, inst: StaticInst) -> InstCost:
         """Classify one static instruction into its port mapping."""
         op_class = inst.op_class
-        queue = self.config.queue_of(op_class)
-        latency = self.latency_of(op_class)
-        unpipelined = op_class in self.config.unpipelined
-        width = self.config.issue_width[queue]
-        recip = (latency if unpipelined else 1) / width
+        queue, latency, recip, unpipelined = self._row(op_class)
         return InstCost(
             index=inst.index,
             op_class=op_class,

@@ -46,13 +46,9 @@ def build_gcc(scale: float = 1.0) -> Workload:
     b.bne("x1", "x0", "lap")
     b.halt()
 
-    def pad_to(target_index: int) -> None:
-        b.function("padding")
-        while b.here() < target_index:
-            b.nop()
-
     for block in range(_N_BLOCKS):
-        pad_to((block + 1) * _BLOCK_SPACING)
+        b.function("padding")
+        b.pad_to((block + 1) * _BLOCK_SPACING)
         b.function(f"pass_{block}")
         b.label(f"pass_{block}")
         base = (block % 7) + 2  # registers x2..x8

@@ -129,3 +129,81 @@ def test_builder_covers_all_alu_opcodes():
     b.halt()
     program = b.build()
     assert len(program) == 30
+
+
+def _pad_by_nops(builder, index):
+    """The per-slot padding loop :meth:`ProgramBuilder.pad_to` replaces."""
+    while builder.here() < index:
+        builder.nop()
+    return builder
+
+
+def _padded(pad):
+    b = ProgramBuilder("t")
+    b.li("x1", 3)
+    b.jump("far")
+    b.function("padding")
+    pad(b, 40)
+    b.function("far")
+    b.label("far")
+    b.addi("x1", "x1", -1)
+    b.function("padding")
+    b.label("gap")
+    pad(b, 64)
+    b.function("main")
+    b.halt()
+    return b.build()
+
+
+def test_pad_to_matches_one_nop_per_slot():
+    bulk = _padded(ProgramBuilder.pad_to)
+    looped = _padded(_pad_by_nops)
+    assert bulk.insts == looped.insts
+    assert bulk.labels == looped.labels
+    assert bulk.functions == looped.functions
+    assert bulk.basic_blocks == looped.basic_blocks
+    assert len(bulk) == 65
+
+
+def test_gcc_builds_identically_with_the_nop_loop(monkeypatch):
+    from repro.workloads import build
+
+    bulk = build("gcc", scale=0.05).program
+    monkeypatch.setattr(ProgramBuilder, "pad_to", _pad_by_nops)
+    looped = build("gcc", scale=0.05).program
+    assert bulk.insts == looped.insts
+    assert bulk.labels == looped.labels
+    assert bulk.functions == looped.functions
+    assert bulk.basic_blocks == looped.basic_blocks
+
+
+def test_pad_to_puts_a_pending_label_on_the_first_nop_only():
+    b = ProgramBuilder("t")
+    b.nop()
+    b.label("pad")
+    b.pad_to(5)
+    b.halt()
+    p = b.build()
+    assert p.labels["pad"] == 1
+    assert [i.label for i in p] == [None, "pad", None, None, None, None]
+    assert all(i.op == Opcode.NOP for i in p.insts[1:5])
+
+
+def test_pad_to_here_emits_nothing_and_keeps_the_label_pending():
+    b = ProgramBuilder("t")
+    b.nop()
+    b.label("next")
+    b.pad_to(1)
+    assert b.here() == 1
+    b.halt()
+    p = b.build()
+    assert len(p) == 2
+    assert p[1].label == "next"
+
+
+def test_pad_to_below_here_raises():
+    b = ProgramBuilder("t")
+    b.nop().nop()
+    with pytest.raises(ProgramError, match="pad"):
+        b.pad_to(1)
+    assert b.here() == 2

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.fuzz import load_corpus
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import StaticInst
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import CONTROL_OPS, Opcode
 from repro.isa.program import Program, ProgramError
+from repro.workloads import WORKLOAD_NAMES, build
+from repro.workloads.synth import Recipe, build_from_recipe
 
 
 def build_simple():
@@ -174,3 +177,59 @@ def test_bb_of_and_func_of_boundary_indices():
         p.bb_of(len(p))
     with pytest.raises(IndexError):
         p.func_of(len(p))
+
+
+def _per_pc_basic_blocks(program):
+    """The per-pc algorithm ``Program._compute_basic_blocks`` replaces:
+    one set probe per instruction index."""
+    leaders = {0}
+    for inst in program.insts:
+        if inst.op in CONTROL_OPS:
+            if inst.target >= 0:
+                leaders.add(inst.target)
+            if inst.index + 1 < len(program.insts):
+                leaders.add(inst.index + 1)
+        elif inst.op in (Opcode.HALT, Opcode.SERIAL):
+            if inst.index + 1 < len(program.insts):
+                leaders.add(inst.index + 1)
+    mapping = []
+    current_leader = 0
+    for pos in range(len(program.insts)):
+        if pos in leaders:
+            current_leader = pos
+        mapping.append(current_leader)
+    return tuple(mapping)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_basic_blocks_match_per_pc_algorithm_on_kernels(name):
+    program = build(name, scale=0.05).program
+    assert program.basic_blocks == _per_pc_basic_blocks(program)
+
+
+def test_basic_blocks_match_per_pc_algorithm_on_fuzz_corpus():
+    recipes = []
+    for _, entry in load_corpus():
+        recipes.append(entry.recipe)
+        if entry.shrunk_from is not None:
+            recipes.append(Recipe(**entry.shrunk_from))
+    recipes += [Recipe.sample(seed) for seed in range(1, 6)]
+    assert len(recipes) > 5
+    for recipe in recipes:
+        program = build_from_recipe(recipe, scale=0.05).program
+        assert program.basic_blocks == _per_pc_basic_blocks(program)
+
+
+def test_basic_blocks_match_per_pc_algorithm_on_edge_programs():
+    halt_only = Program("h", [StaticInst(index=0, op=Opcode.HALT)])
+    branch_last = Program("b", [
+        StaticInst(index=0, op=Opcode.NOP),
+        StaticInst(index=1, op=Opcode.HALT),
+        StaticInst(index=2, op=Opcode.BNE, rs1=1, rs2=0, target=0),
+    ])
+    serial_mid = ProgramBuilder("s").nop().serial().nop().halt().build()
+    for program in (halt_only, branch_last, serial_mid, build_simple()):
+        assert program.basic_blocks == _per_pc_basic_blocks(program)
+    assert halt_only.basic_blocks == (0,)
+    assert branch_last.basic_blocks == (0, 0, 2)
+    assert serial_mid.basic_blocks == (0, 0, 2, 2)

@@ -20,7 +20,7 @@ from repro.predict import (
     render_prediction,
     validate_prediction_doc,
 )
-from repro.predict.ports import COMMIT, FRONTEND
+from repro.predict.ports import COMMIT, FRONTEND, InstCost
 from repro.uarch.config import CoreConfig
 from repro.workloads import WORKLOAD_NAMES, build
 
@@ -134,6 +134,53 @@ class TestDepGraph:
         # The binding recurrence is the fp accumulate through f1.
         assert cycles == model.latency_of(OpClass.FP_ADD)
         assert len(chain) == 1
+
+
+class _PerInstPortModel(PortModel):
+    """The derivation ``PortModel.cost`` memoises per op class, redone
+    for every instruction."""
+
+    def cost(self, inst):
+        op_class = inst.op_class
+        queue = self.config.queue_of(op_class)
+        latency = self.latency_of(op_class)
+        unpipelined = op_class in self.config.unpipelined
+        recip = (latency if unpipelined else 1) / (
+            self.config.issue_width[queue]
+        )
+        return InstCost(inst.index, op_class, queue, latency, recip,
+                        unpipelined)
+
+
+class TestPortRows:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_memoised_rows_predict_like_per_instruction_costs(self, name):
+        program = build(name, scale=0.05).program
+        model = PortModel()
+        reference = _PerInstPortModel()
+        assert model.block_costs(program.insts) == (
+            reference.block_costs(program.insts)
+        )
+        assert prediction_to_json(predict_program(program)) == (
+            prediction_to_json(predict_program(program, model=reference))
+        )
+
+    def test_sabotaged_copy_does_not_inherit_cached_rows(self):
+        program = build("nab", scale=0.05).program
+        base = PortModel()
+        base.block_costs(program.insts)  # warm every row nab uses
+        assert OpClass.FP_MUL in base._rows
+        sabotaged = base.sabotage({OpClass.FP_MUL: 1, OpClass.LOAD: 9})
+        assert sabotaged._rows == {}
+        costs = {c.op_class: c for c in sabotaged.block_costs(program.insts)}
+        assert costs[OpClass.FP_MUL].latency == 1
+        assert costs[OpClass.LOAD].latency == 9
+        assert base.cost(
+            next(i for i in program if i.op_class is OpClass.FP_MUL)
+        ).latency == base.config.latencies[OpClass.FP_MUL]
+        assert sabotaged == PortModel(latency_override={
+            OpClass.FP_MUL: 1, OpClass.LOAD: 9,
+        })
 
 
 class TestAnalyzer:
