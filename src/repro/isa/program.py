@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
-from repro.isa.instructions import StaticInst
+from repro.isa.instructions import NO_REG, StaticInst
 from repro.isa.opcodes import (
     BRANCH_OPS,
     CONTROL_OPS,
@@ -62,6 +63,7 @@ class Program:
         self.validate()
         self.functions: tuple[FunctionInfo, ...] = self._compute_functions()
         self._func_of: tuple[str, ...] = tuple(i.func for i in self.insts)
+        self.block_leaders: tuple[int, ...] = self._compute_leaders()
         self.basic_blocks: tuple[int, ...] = self._compute_basic_blocks()
         self._by_class: dict[tuple, tuple] = {}
 
@@ -133,8 +135,8 @@ class Program:
         funcs.append(FunctionInfo(current, start, len(self.insts)))
         return tuple(funcs)
 
-    def _compute_basic_blocks(self) -> tuple[int, ...]:
-        """Map every instruction index to its basic-block leader index.
+    def _compute_leaders(self) -> tuple[int, ...]:
+        """Sorted basic-block leader indices.
 
         Leaders are: instruction 0, every control-flow target, and every
         instruction following a control-flow instruction, a HALT or a
@@ -152,12 +154,22 @@ class Program:
             elif op is Opcode.HALT or op is Opcode.SERIAL:
                 if inst.index + 1 < count:
                     leaders.add(inst.index + 1)
-        # One extend per block: each leader covers the indices up to
-        # the next leader (every leader is in range, so the extents
-        # tile [0, count) exactly).
-        ordered = sorted(leaders)
+        return tuple(sorted(leaders))
+
+    def block_extents(self) -> list[tuple[int, int]]:
+        """``(leader, end)`` of every basic block, in program order."""
+        leaders = self.block_leaders
+        return list(zip(leaders, leaders[1:] + (len(self.insts),)))
+
+    def _compute_basic_blocks(self) -> tuple[int, ...]:
+        """Map every instruction index to its basic-block leader index.
+
+        One extend per block: each leader covers the indices up to the
+        next leader (every leader is in range, so the extents tile
+        ``[0, count)`` exactly).
+        """
         mapping: list[int] = []
-        for leader, end in zip(ordered, ordered[1:] + [count]):
+        for leader, end in self.block_extents():
             mapping.extend([leader] * (end - leader))
         return tuple(mapping)
 
@@ -166,14 +178,25 @@ class Program:
     # sampled tier builds one core per window).
     @cached_property
     def sources_by_index(self) -> tuple[tuple[int, ...], ...]:
-        """Each instruction's source registers (``StaticInst.sources()``
-        builds a fresh tuple per call)."""
-        return tuple(inst.sources() for inst in self.insts)
+        """Each instruction's source registers, equal to
+        ``StaticInst.sources()`` (which builds a fresh tuple per call);
+        one tuple per distinct ``(rs1, rs2)`` pair."""
+        pair_of = attrgetter("rs1", "rs2")
+        sources = {
+            pair: tuple(reg for reg in pair if reg != NO_REG)
+            for pair in set(map(pair_of, self.insts))
+        }
+        return tuple(map(sources.__getitem__, map(pair_of, self.insts)))
+
+    @cached_property
+    def dest_by_index(self) -> tuple[int, ...]:
+        """Each instruction's destination register (``NO_REG`` if none)."""
+        return tuple(map(attrgetter("rd"), self.insts))
 
     @cached_property
     def class_by_index(self) -> tuple[OpClass, ...]:
         """Each instruction's :class:`OpClass`."""
-        return tuple(op_class(inst.op) for inst in self.insts)
+        return tuple(map(op_class, map(attrgetter("op"), self.insts)))
 
     @cached_property
     def control_by_index(self) -> tuple[bool, ...]:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from repro.isa.opcodes import CONTROL_OPS, OpClass
 from repro.isa.program import Program
 from repro.uarch.config import CoreConfig
-from repro.predict.depgraph import BlockDepGraph
-from repro.predict.ports import COMMIT, FRONTEND, PortModel
+from repro.predict.depgraph import critical_path, dependency_edges, recurrence
+from repro.predict.ports import COMMIT, FRONTEND, PortModel, Row, queue_pressure
 
 #: Commit-state vocabulary keys (matches ``CommitState`` names).
 STATE_KEYS = ("compute", "stalled", "drained", "flushed")
@@ -129,44 +129,39 @@ class ProgramPrediction:
         return dict(sorted(hist.items()))
 
 
-def _block_extents(program: Program) -> list[tuple[int, int]]:
-    """``(leader, end)`` extents of every basic block, in order."""
-    extents: list[tuple[int, int]] = []
-    for pos, leader in enumerate(program.basic_blocks):
-        if not extents or extents[-1][0] != leader:
-            extents.append((leader, pos + 1))
-        else:
-            extents[-1] = (leader, pos + 1)
-    return extents
-
-
-def _is_self_loop(program: Program, leader: int, end: int) -> bool:
-    """True when the block's terminator jumps back to its own leader."""
-    last = program[end - 1]
-    return last.op in CONTROL_OPS and last.target == leader
-
-
 def _predict_block(
     program: Program,
     model: PortModel,
+    rows: dict[OpClass, Row],
     leader: int,
     end: int,
 ) -> BlockPrediction:
-    insts = program.insts[leader:end]
-    costs = model.block_costs(insts)
-    is_loop = _is_self_loop(program, leader, end)
-    graph = BlockDepGraph.build(insts, costs, loop=is_loop)
-    pressure = model.queue_pressure(costs)
-    cp_cycles, cp_chain = graph.critical_path()
-    rec_cycles, rec_chain = graph.recurrence()
+    classes = program.class_by_index[leader:end]
+    present = set(classes)
+    block_rows = list(map(rows.__getitem__, classes))
+    last = program[end - 1]
+    is_loop = last.op in CONTROL_OPS and last.target == leader
+    edges = dependency_edges(
+        program.sources_by_index[leader:end],
+        program.dest_by_index[leader:end],
+        is_loop,
+    )
+    latency_of = {c: float(rows[c][1]) for c in present}
+    latencies = list(map(latency_of.__getitem__, classes))
+    pressure = queue_pressure(block_rows, model.config)
+    cp_cycles, cp_chain = critical_path(latencies, edges)
+    rec_cycles, rec_chain = recurrence(latencies, edges)
     config = model.config
-    n = len(insts)
+    n = end - leader
 
     bounds: list[Bound] = []
     for queue in ("int", "mem", "fp"):
         if queue not in pressure:
             continue
-        members = tuple(c.index for c in costs if c.queue == queue)
+        members = _members(
+            classes, leader, present,
+            {c for c in present if rows[c][0] == queue},
+        )
         bounds.append(
             Bound(
                 name=f"throughput:{queue}",
@@ -207,9 +202,7 @@ def _predict_block(
             )
         )
 
-    serial = tuple(
-        c.index for c in costs if c.op_class is OpClass.SERIAL
-    )
+    serial = _members(classes, leader, present, {OpClass.SERIAL})
     if serial:
         refill = config.redirect_penalty + config.frontend_depth
         bounds.append(
@@ -249,12 +242,8 @@ def _predict_block(
     # `occupancy * n / window` in-flight slots; inverted, a resource
     # with R slots forces at least occupancy * count / R cycles.
     occupancy = max(cp_cycles, rec_cycles)
-    loads = tuple(
-        c.index for c in costs if c.op_class is OpClass.LOAD
-    )
-    stores = tuple(
-        c.index for c in costs if c.op_class is OpClass.STORE
-    )
+    loads = _members(classes, leader, present, {OpClass.LOAD})
+    stores = _members(classes, leader, present, {OpClass.STORE})
     for name, count, slots, members in (
         ("rob", n, config.rob_entries, all_insts),
         ("lq", len(loads), config.load_queue_entries, loads),
@@ -309,6 +298,23 @@ def _predict_block(
     )
 
 
+def _members(
+    classes: tuple[OpClass, ...],
+    leader: int,
+    present: set[OpClass],
+    wanted: set[OpClass],
+) -> tuple[int, ...]:
+    """Program indices of the block's instructions whose class is in
+    *wanted*; *present* is the set of the block's classes."""
+    if not wanted & present:
+        return ()
+    if present <= wanted:
+        return tuple(range(leader, leader + len(classes)))
+    return tuple(
+        index for index, c in enumerate(classes, leader) if c in wanted
+    )
+
+
 def predict_program(
     program: Program,
     config: CoreConfig | None = None,
@@ -328,8 +334,9 @@ def predict_program(
     """
     if model is None:
         model = PortModel(config) if config is not None else PortModel()
+    rows = {c: model._row(c) for c in set(program.class_by_index)}
     blocks = {
-        leader: _predict_block(program, model, leader, end)
-        for leader, end in _block_extents(program)
+        leader: _predict_block(program, model, rows, leader, end)
+        for leader, end in program.block_extents()
     }
     return ProgramPrediction(program=program, model=model, blocks=blocks)

@@ -20,6 +20,7 @@ surface.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.isa.instructions import NO_REG, StaticInst
@@ -47,9 +48,151 @@ class DepEdge:
     loop_carried: bool
 
 
+#: ``(src, dst, reg, loop_carried)`` -- the fields of a :class:`DepEdge`.
+Edge = tuple[int, int, int, bool]
+
+
+def dependency_edges(
+    sources: Sequence[tuple[int, ...]],
+    dests: Sequence[int],
+    loop: bool,
+) -> list[Edge]:
+    """Register dependency edges of one block, in consumer order.
+
+    Args:
+        sources: Each position's source registers, in operand order.
+        dests: Each position's destination register (``NO_REG`` if
+            none).
+        loop: Add loop-carried edges (self-loop blocks only).
+    """
+    any_writer: dict[int, int] = {}
+    if loop:
+        for pos, rd in enumerate(dests):
+            if rd != NO_REG and rd != ZERO_REG:
+                any_writer[rd] = pos  # latest wins
+    last_writer: dict[int, int] = {}
+    edges: list[Edge] = []
+    for pos, srcs in enumerate(sources):
+        for reg in srcs:
+            if reg == ZERO_REG:
+                continue
+            writer = last_writer.get(reg)
+            if writer is not None:
+                edges.append((writer, pos, reg, False))
+            elif loop and reg in any_writer:
+                # No writer before this read: the value is the
+                # previous iteration's (written at or after pos).
+                edges.append((any_writer[reg], pos, reg, True))
+        rd = dests[pos]
+        if rd != NO_REG and rd != ZERO_REG:
+            last_writer[rd] = pos
+    return edges
+
+
+def _intra_preds(edges: list[Edge]) -> dict[int, list[int]]:
+    """Each consumer's intra-iteration producers, consumers ascending."""
+    preds: dict[int, list[int]] = {}
+    for src, dst, _reg, carried in edges:
+        if not carried:
+            preds.setdefault(dst, []).append(src)
+    return preds
+
+
+def critical_path(
+    latencies: Sequence[float], edges: list[Edge]
+) -> tuple[float, tuple[int, ...]]:
+    """Longest latency chain through one pass of a block.
+
+    Args:
+        latencies: Each position's result latency, in cycles.
+        edges: The block's :func:`dependency_edges`.
+
+    Returns:
+        ``(cycles, chain)`` where *chain* is the block-local positions
+        on the path, in program order. Completion-time semantics: the
+        chain length is the sum of the producer latencies plus the
+        final consumer's own latency.
+    """
+    if not latencies:
+        return 0.0, ()
+    # A position with no producer finishes at its own latency; the
+    # others, visited in program order (their producers sit earlier),
+    # start when their latest producer finishes.
+    finish = list(latencies)
+    best_pred: list[int | None] = [None] * len(latencies)
+    for pos, producers in _intra_preds(edges).items():
+        start, chosen = 0.0, None
+        for p in producers:
+            if finish[p] > start:
+                start, chosen = finish[p], p
+        finish[pos] = start + latencies[pos]
+        best_pred[pos] = chosen
+    end = finish.index(max(finish))
+    chain: list[int] = []
+    node: int | None = end
+    while node is not None:
+        chain.append(node)
+        node = best_pred[node]
+    return finish[end], tuple(reversed(chain))
+
+
+def recurrence(
+    latencies: Sequence[float], edges: list[Edge]
+) -> tuple[float, tuple[int, ...]]:
+    """Longest distance-1 dependency cycle, in cycles per iteration.
+
+    For every loop-carried edge ``u -> v`` the cycle closes through the
+    longest intra-iteration path ``v -> u``; its per-iteration cost is
+    the sum of every node latency on ``v..u`` inclusive. Loop-carried
+    edges with no intra path back (dependence chains spanning several
+    iterations) do not form a distance-1 cycle and are ignored.
+
+    Returns:
+        ``(cycles, chain)``; ``(0.0, ())`` when no cycle exists.
+    """
+    carried = [(u, v) for u, v, _reg, c in edges if c]
+    if not carried:
+        return 0.0, ()
+    preds = _intra_preds(edges)
+    best, best_chain = 0.0, ()
+    for u, v in carried:
+        if u == v:
+            length = latencies[u]
+            chain: tuple[int, ...] = (u,)
+        else:
+            # acc[w]: max latency sum over intra paths v..w, counting
+            # every node strictly before w. Positions are already a
+            # topological order (intra edges go forward).
+            acc: dict[int, float] = {v: 0.0}
+            back: dict[int, int] = {}
+            for w in range(v + 1, len(latencies)):
+                for p in preds.get(w, ()):
+                    if p not in acc:
+                        continue
+                    cand = acc[p] + latencies[p]
+                    if w not in acc or cand > acc[w]:
+                        acc[w], back[w] = cand, p
+            if u not in acc:
+                continue
+            length = acc[u] + latencies[u]
+            nodes = [u]
+            while nodes[-1] in back:
+                nodes.append(back[nodes[-1]])
+            if nodes[-1] != v:
+                nodes.append(v)
+            chain = tuple(reversed(nodes))
+        if length > best:
+            best, best_chain = length, chain
+    return best, best_chain
+
+
 @dataclass
 class BlockDepGraph:
     """Dependency structure of one basic block.
+
+    A view over :func:`dependency_edges`, :func:`critical_path` and
+    :func:`recurrence`, the functions the analyzer runs on its flat
+    per-program tables.
 
     Attributes:
         insts: The block's instructions, in program order.
@@ -69,114 +212,27 @@ class BlockDepGraph:
         loop: bool,
     ) -> BlockDepGraph:
         """Build the graph for a block; *loop* enables carried edges."""
-        last_writer: dict[int, int] = {}
-        any_writer: dict[int, int] = {}
-        for pos, inst in enumerate(insts):
-            if inst.rd not in (NO_REG, ZERO_REG):
-                any_writer[inst.rd] = pos  # latest wins
-        edges: list[DepEdge] = []
-        for pos, inst in enumerate(insts):
-            for reg in inst.sources():
-                if reg == ZERO_REG:
-                    continue
-                if reg in last_writer:
-                    edges.append(
-                        DepEdge(last_writer[reg], pos, reg, False)
-                    )
-                elif loop and reg in any_writer:
-                    # No writer before this read: the value is the
-                    # previous iteration's (written at or after pos).
-                    edges.append(
-                        DepEdge(any_writer[reg], pos, reg, True)
-                    )
-            if inst.rd not in (NO_REG, ZERO_REG):
-                last_writer[inst.rd] = pos
-        return cls(insts=insts, costs=costs, edges=tuple(edges))
+        edges = dependency_edges(
+            [inst.sources() for inst in insts],
+            [inst.rd for inst in insts],
+            loop,
+        )
+        return cls(
+            insts=insts,
+            costs=costs,
+            edges=tuple(DepEdge(*edge) for edge in edges),
+        )
 
-    # ------------------------------------------------------------------
-    # Bounds.
-    # ------------------------------------------------------------------
-    def _intra_preds(self) -> dict[int, list[int]]:
-        preds: dict[int, list[int]] = {}
-        for edge in self.edges:
-            if not edge.loop_carried:
-                preds.setdefault(edge.dst, []).append(edge.src)
-        return preds
+    def _tables(self) -> tuple[list[float], list[Edge]]:
+        return (
+            [float(cost.latency) for cost in self.costs],
+            [(e.src, e.dst, e.reg, e.loop_carried) for e in self.edges],
+        )
 
     def critical_path(self) -> tuple[float, tuple[int, ...]]:
-        """Longest latency chain through one pass of the block.
-
-        Returns:
-            ``(cycles, chain)`` where *chain* is the block-local
-            positions on the path, in program order. Completion-time
-            semantics: the chain length is the sum of the producer
-            latencies plus the final consumer's own latency.
-        """
-        preds = self._intra_preds()
-        finish: list[float] = []
-        best_pred: list[int | None] = []
-        for pos in range(len(self.insts)):
-            lat = float(self.costs[pos].latency)
-            start, chosen = 0.0, None
-            for p in preds.get(pos, ()):
-                if finish[p] > start:
-                    start, chosen = finish[p], p
-            finish.append(start + lat)
-            best_pred.append(chosen)
-        if not finish:
-            return 0.0, ()
-        end = max(range(len(finish)), key=lambda i: finish[i])
-        chain: list[int] = []
-        node: int | None = end
-        while node is not None:
-            chain.append(node)
-            node = best_pred[node]
-        return finish[end], tuple(reversed(chain))
+        """See :func:`critical_path`."""
+        return critical_path(*self._tables())
 
     def recurrence(self) -> tuple[float, tuple[int, ...]]:
-        """Longest distance-1 dependency cycle, in cycles per iteration.
-
-        For every loop-carried edge ``u -> v`` the cycle closes through
-        the longest intra-iteration path ``v -> u``; its per-iteration
-        cost is the sum of every node latency on ``v..u`` inclusive.
-        Loop-carried edges with no intra path back (dependence chains
-        spanning several iterations) do not form a distance-1 cycle
-        and are ignored.
-
-        Returns:
-            ``(cycles, chain)``; ``(0.0, ())`` when no cycle exists.
-        """
-        preds = self._intra_preds()
-        best, best_chain = 0.0, ()
-        for edge in self.edges:
-            if not edge.loop_carried:
-                continue
-            u, v = edge.src, edge.dst
-            if u == v:
-                length = float(self.costs[u].latency)
-                chain: tuple[int, ...] = (u,)
-            else:
-                # acc[w]: max latency sum over intra paths v..w,
-                # counting every node strictly before w. Positions are
-                # already a topological order (intra edges go forward).
-                acc: dict[int, float] = {v: 0.0}
-                back: dict[int, int] = {}
-                for w in range(v + 1, len(self.insts)):
-                    for p in preds.get(w, ()):
-                        if p not in acc:
-                            continue
-                        cand = acc[p] + float(self.costs[p].latency)
-                        if w not in acc or cand > acc[w]:
-                            acc[w], back[w] = cand, p
-                if u not in acc:
-                    continue
-                length = acc[u] + float(self.costs[u].latency)
-                nodes = [u]
-                while nodes[-1] in back:
-                    nodes.append(back[nodes[-1]])
-                if nodes[-1] != v:
-                    nodes.append(v)
-                chain = tuple(reversed(nodes))
-            if length > best:
-                best, best_chain = length, chain
-        return best, best_chain
+        """See :func:`recurrence`."""
+        return recurrence(*self._tables())

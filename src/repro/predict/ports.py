@@ -23,6 +23,10 @@ from repro.uarch.config import CoreConfig
 COMMIT = "commit"
 FRONTEND = "frontend"
 
+#: One op class's port mapping: ``(queue, latency, recip_throughput,
+#: unpipelined)``, the fields of :class:`InstCost` after the class.
+Row = tuple[str, int, float, bool]
+
 
 @dataclass(frozen=True)
 class InstCost:
@@ -63,7 +67,7 @@ class PortModel:
     # One (queue, latency, recip_throughput, unpipelined) row per op
     # class, derived on first use; not an init field, so the copies
     # sabotage()/replace() make start empty.
-    _rows: dict[OpClass, tuple[str, int, float, bool]] = field(
+    _rows: dict[OpClass, Row] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -80,7 +84,7 @@ class PortModel:
             return self.config.memory.l1d_latency
         return self.config.latencies.get(op_class, 1)
 
-    def _row(self, op_class: OpClass) -> tuple[str, int, float, bool]:
+    def _row(self, op_class: OpClass) -> Row:
         """The port row of *op_class*, derived once per model."""
         row = self._rows.get(op_class)
         if row is None:
@@ -114,21 +118,13 @@ class PortModel:
     def queue_pressure(
         self, costs: tuple[InstCost, ...]
     ) -> dict[str, float]:
-        """Cycles of issue bandwidth each queue spends per block pass.
-
-        Also reports the ``commit`` and ``frontend`` pseudo-queues:
-        every instruction costs ``1/commit_width`` at retirement and
-        ``1/decode_width`` in the front end.
-        """
-        pressure: dict[str, float] = {}
-        for cost in costs:
-            pressure[cost.queue] = (
-                pressure.get(cost.queue, 0.0) + cost.recip_throughput
-            )
-        n = len(costs)
-        pressure[COMMIT] = n / self.config.commit_width
-        pressure[FRONTEND] = n / self.config.decode_width
-        return pressure
+        """Cycles of issue bandwidth each queue spends per block pass
+        (see :func:`queue_pressure`)."""
+        return queue_pressure(
+            [(c.queue, c.latency, c.recip_throughput, c.unpipelined)
+             for c in costs],
+            self.config,
+        )
 
     def sabotage(self, overrides: dict[OpClass, int]) -> PortModel:
         """A copy of this model with *overrides* patched into it.
@@ -140,3 +136,22 @@ class PortModel:
         merged = dict(self.latency_override)
         merged.update(overrides)
         return replace(self, latency_override=merged)
+
+
+def queue_pressure(rows: list[Row], config: CoreConfig) -> dict[str, float]:
+    """Cycles of issue bandwidth each queue spends per block pass.
+
+    *rows* holds one port row per instruction, in program order; each
+    queue's total is a sequential sum in that order. Also reports the
+    ``commit`` and ``frontend`` pseudo-queues: every instruction costs
+    ``1/commit_width`` at retirement and ``1/decode_width`` in the
+    front end.
+    """
+    pressure: dict[str, float] = {}
+    get = pressure.get
+    for queue, _latency, recip, _unpipelined in rows:
+        pressure[queue] = get(queue, 0.0) + recip
+    n = len(rows)
+    pressure[COMMIT] = n / config.commit_width
+    pressure[FRONTEND] = n / config.decode_width
+    return pressure

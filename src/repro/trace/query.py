@@ -125,6 +125,9 @@ class TraceQuery:
     ) -> None:
         self.store = store
         self.program = program
+        # The unfiltered replay, keyed on the row counts it read, so a
+        # live store that has grown since is replayed again.
+        self._replay: tuple[tuple[int, int], dict] | None = None
 
     # -- basic shape ---------------------------------------------------
     def total_cycles(self) -> int:
@@ -179,8 +182,22 @@ class TraceQuery:
             Raw (instruction index, PSV) -> attributed cycles. With no
             filters this is bit-identical to :func:`replay_golden` on
             the reconstructed record list: same record visit order,
-            same per-key float accumulation order.
+            same per-key float accumulation order. The unfiltered
+            replay is kept, so asking again (directly, or through
+            :meth:`top` and :func:`diff_attribution`) costs a copy.
         """
+        if states is not None or cycle_range is not None:
+            return self._attribute(states, cycle_range)
+        rows = (len(self.store.ctrace), len(self.store.commit_uops))
+        if self._replay is None or self._replay[0] != rows:
+            self._replay = (rows, self._attribute(None, None))
+        return dict(self._replay[1])
+
+    def _attribute(
+        self,
+        states: tuple[CommitState, ...] | None,
+        cycle_range: tuple[int, int] | None,
+    ) -> dict[tuple[int, int], float]:
         sel = (
             None
             if states is None
@@ -198,73 +215,72 @@ class TraceQuery:
         last_committed: tuple[int, int] | None = None
 
         ctrace = self.store.ctrace
-        kinds = ctrace.column("kind")
-        state_col = ctrace.column("state")
-        counts = ctrace.column("count")
-        head_seqs = ctrace.column("head_seq")
-        cycles_col = ctrace.column("cycle")
-        group_starts = ctrace.column("group_start")
-        group_sizes = ctrace.column("group_size")
         uops = self.store.commit_uops
         seq_col = uops.column("seq")
         index_col = uops.column("index")
         psv_col = uops.column("psv")
 
         get = raw.get
+        pop_stall = stall_by_seq.pop
         stalled_state = int(CommitState.STALLED)
         drained_state = int(CommitState.DRAINED)
+        cycles_kind = KIND_CYCLES
 
-        for i in range(len(ctrace)):
-            start = cycles_col[i]
-            count = counts[i]
+        for kind, state, count, head_seq, start, gstart, size in zip(
+            ctrace.column("kind"),
+            ctrace.column("state"),
+            ctrace.column("count"),
+            ctrace.column("head_seq"),
+            ctrace.column("cycle"),
+            ctrace.column("group_start"),
+            ctrace.column("group_size"),
+        ):
             if hi is not None:
                 count = min(start + count, hi) - max(start, lo)
                 # A fully out-of-range record still advances the
                 # replay machinery below (commits pop stalls/drains).
                 count = count if count > 0 else 0
-            if kinds[i] == KIND_CYCLES:
+            if kind == cycles_kind:
                 if not count:
                     continue
-                state = state_col[i]
                 if state == stalled_state:
                     if stalled_on:
-                        seq = head_seqs[i]
-                        stall_by_seq[seq] = (
-                            stall_by_seq.get(seq, 0) + count
+                        stall_by_seq[head_seq] = (
+                            stall_by_seq.get(head_seq, 0) + count
                         )
                 elif state == drained_state:
                     if drained_on:
                         pending_drain += count
-                else:  # FLUSHED
-                    if flushed_on:
-                        if last_committed is None:
-                            pending_drain += count
-                        else:
-                            key = last_committed
-                            raw[key] = get(key, 0.0) + count
+                elif flushed_on:  # FLUSHED
+                    if last_committed is None:
+                        pending_drain += count
+                    else:
+                        key = last_committed
+                        raw[key] = get(key, 0.0) + count
                 continue
             # Commit group: one COMPUTE cycle, plus it resolves any
             # pending drain and the head-stall accumulations.
-            size = group_sizes[i]
-            gstart = group_starts[i]
-            first_index = index_col[gstart]
-            first_psv = psv_col[gstart]
+            end = gstart + size
             if pending_drain:
-                key = (first_index, first_psv)
+                key = (index_col[gstart], psv_col[gstart])
                 raw[key] = get(key, 0.0) + pending_drain
                 pending_drain = 0
             share = 1.0 / size if compute_on and count else 0.0
-            for j in range(gstart, gstart + size):
+            if size == 1 and not stall_by_seq:
+                # A one-µop group with no stall to resolve.
+                key = (index_col[gstart], psv_col[gstart])
+                if share:
+                    raw[key] = get(key, 0.0) + share
+                last_committed = key
+                continue
+            for j in range(gstart, end):
                 key = (index_col[j], psv_col[j])
                 if share:
                     raw[key] = get(key, 0.0) + share
-                stalled = stall_by_seq.pop(seq_col[j], 0)
+                stalled = pop_stall(seq_col[j], 0)
                 if stalled:
                     raw[key] = get(key, 0.0) + stalled
-            last_committed = (
-                index_col[gstart + size - 1],
-                psv_col[gstart + size - 1],
-            )
+            last_committed = (index_col[end - 1], psv_col[end - 1])
         return raw
 
     # -- canned queries ------------------------------------------------
@@ -353,12 +369,12 @@ class TraceQuery:
         index_col = samples.column("index")
         psv_col = samples.column("psv")
         weight_col = samples.column("weight")
-        wanted = (
-            None
-            if sampler is None
-            else self.store.strings.intern(sampler)
-        )
         out: dict[tuple[int, int], float] = {}
+        wanted = None
+        if sampler is not None:
+            wanted = self.store.strings.lookup(sampler)
+            if wanted is None:  # no capture carries this name
+                return out
         for i in range(len(samples)):
             if wanted is not None and sampler_col[i] != wanted:
                 continue

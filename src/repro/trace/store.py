@@ -141,6 +141,10 @@ class StringPool:
             self._ids[value] = ident
         return ident
 
+    def lookup(self, value: str) -> int | None:
+        """The id of *value*, or ``None`` if it was never interned."""
+        return self._ids.get(value)
+
     def __getitem__(self, ident: int) -> str:
         return self._strings[ident]
 
@@ -391,8 +395,10 @@ class TraceStore:
         sampler, so the sums are bit-identical to the profile the live
         sampler accumulated.
         """
-        wanted = self.strings.intern(sampler)
         raw: dict[tuple[int, int], float] = {}
+        wanted = self.strings.lookup(sampler)
+        if wanted is None:  # no capture carries this name
+            return raw
         samples = self.samples
         sampler_col = samples.column("sampler")
         index_col = samples.column("index")

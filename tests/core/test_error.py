@@ -25,6 +25,23 @@ def test_identical_profiles_have_zero_error():
     assert pics_error(g, g) == pytest.approx(0.0)
 
 
+def test_exact_self_comparison_is_exactly_zero():
+    # The golden total adds per-stack subtotals, the correct cycles add
+    # component by component: (0.1+0.1)+(0.1+2.3) != ((0.1+0.1)+0.1)+2.3
+    # in floats, which used to leave a 1.7e-16 error.
+    g = PicsProfile("golden", {0: {0: 0.1, ST_L1: 0.1},
+                               1: {0: 0.1, ST_L1: 2.3}})
+    copy = PicsProfile("copy", {u: dict(s) for u, s in g.stacks.items()})
+    for normalize in (True, False):
+        assert pics_error(g, g, normalize=normalize) == 0.0
+        assert pics_error(copy, g, normalize=normalize) == 0.0
+    # Equal after projecting onto the event set counts as exact too.
+    assert pics_error(g, g, event_mask=0) == 0.0
+    off = PicsProfile("off", {0: {0: 0.1, ST_L1: 0.1},
+                              1: {0: 0.1, ST_L1: 2.2}})
+    assert pics_error(off, g, normalize=False) > 0.0
+
+
 def test_error_bounds():
     g = golden()
     disjoint = PicsProfile("m", {7: {0: 100.0}})

@@ -207,6 +207,22 @@ def test_basic_blocks_match_per_pc_algorithm_on_kernels(name):
     assert program.basic_blocks == _per_pc_basic_blocks(program)
 
 
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_per_index_tables_match_each_instruction(name):
+    program = build(name, scale=0.05).program
+    insts = program.insts
+    assert program.sources_by_index == tuple(i.sources() for i in insts)
+    assert program.dest_by_index == tuple(i.rd for i in insts)
+    assert program.class_by_index == tuple(i.op_class for i in insts)
+    # The extents tile the program, one per leader, in order.
+    extents = program.block_extents()
+    assert [leader for leader, _ in extents] == sorted(
+        set(program.basic_blocks)
+    )
+    for leader, end in extents:
+        assert program.basic_blocks[leader:end] == (leader,) * (end - leader)
+
+
 def test_basic_blocks_match_per_pc_algorithm_on_fuzz_corpus():
     recipes = []
     for _, entry in load_corpus():

@@ -282,6 +282,27 @@ class TestWholeSuite:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_predict_and_query_never_import_numpy(self):
+        # The analysis path is table loops over stdlib containers;
+        # importing numpy alone would add ~14 MB to every process
+        # that predicts or queries a trace.
+        import subprocess
+
+        code = (
+            "import sys\n"
+            "import repro.predict, repro.trace.query\n"
+            "from repro.predict import predict_program\n"
+            "from repro.workloads import build\n"
+            "predict_program(build('gcc', scale=0.05).program)\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_predict_path_never_steps_the_core(self, monkeypatch):
         import repro.uarch.core as core
 

@@ -35,6 +35,7 @@ from repro.trace.query import (
 )
 from repro.trace.store import TraceStore
 from repro.uarch.config import CoreConfig
+from repro.workloads import WORKLOAD_NAMES
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,14 +54,106 @@ def x264():
 # -- attribution parity -------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["mcf", "x264", "gcc"])
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_attribute_bit_identical_to_replay(name):
     run, query = make_query(name)
     attributed = query.attribute()
     replayed = replay_golden(query.store.cycle_records())
-    assert attributed == replayed == run.result.golden_raw
+    assert attributed == replayed
     # Same insertion order too: the query is the same visit sequence.
     assert list(attributed.items()) == list(replayed.items())
+    # The live core adds some keys' cycles in another order (bwaves and
+    # leela differ in the last bits), so it matches to rounding only.
+    golden = run.result.golden_raw
+    assert attributed.keys() == golden.keys()
+    assert attributed == pytest.approx(golden, rel=1e-12)
+    if name in ("mcf", "x264", "gcc"):
+        assert attributed == golden
+    # The kept replay answers the same, in the same order.
+    assert list(query.attribute().items()) == list(replayed.items())
+
+
+# -- the kept unfiltered replay -----------------------------------------
+
+
+def count_replays(monkeypatch):
+    """Count the column replays every TraceQuery runs from now on."""
+    calls = []
+    replay = TraceQuery._attribute
+
+    def counted(self, states, cycle_range):
+        calls.append((states, cycle_range))
+        return replay(self, states, cycle_range)
+
+    monkeypatch.setattr(TraceQuery, "_attribute", counted)
+    return calls
+
+
+def test_kept_replay_is_an_independent_copy(x264):
+    _run, shared = x264
+    query = TraceQuery(shared.store, shared.program)
+    replayed = replay_golden(query.store.cycle_records())
+    first = query.attribute()
+    key = next(iter(first))
+    first[key] += 1000.0
+    first[(-1, -1)] = 1.0
+    second = query.attribute()
+    assert second is not first
+    assert list(second.items()) == list(replayed.items())
+    second.clear()
+    assert list(query.attribute().items()) == list(replayed.items())
+
+
+def test_top_and_diff_reuse_the_kept_replay(x264, monkeypatch):
+    _run, shared = x264
+    calls = count_replays(monkeypatch)
+    query = TraceQuery(shared.store, shared.program)
+    raw = query.attribute()
+    top = query.top(k=5, by="bb")
+    assert len(calls) == 1
+    assert top == top_k(group_attribution(raw, "bb", query.program), 5)
+    other = TraceQuery(shared.store, shared.program)
+    report = diff_attribution(query, other, by="bb")
+    diff_attribution(other, query, by="bb")
+    assert len(calls) == 2  # `other` replays once, `query` never again
+    assert not report.flagged
+    # Filters bypass the kept replay.
+    query.top(k=5, states=(CommitState.STALLED,))
+    query.top(k=5, window=0, window_cycles=1000)
+    assert len(calls) == 4
+
+
+def test_kept_replay_leaves_filtered_queries_unchanged(x264):
+    _run, shared = x264
+    fresh = TraceQuery(shared.store, shared.program)
+    kept = TraceQuery(shared.store, shared.program)
+    kept.attribute()
+    total = kept.total_cycles()
+    for states in [(state,) for state in CommitState] + [
+        tuple(CommitState)
+    ]:
+        got = kept.attribute(states)
+        assert list(got.items()) == list(fresh.attribute(states).items())
+    for cycle_range in ((0, total // 3), (total // 3, total), (0, total)):
+        got = kept.attribute(cycle_range=cycle_range)
+        assert list(got.items()) == list(
+            fresh.attribute(cycle_range=cycle_range).items()
+        )
+    assert kept.attribute() == fresh.attribute()
+
+
+def test_kept_replay_rereads_a_grown_live_store(x264):
+    _run, shared = x264
+    records = shared.store.cycle_records()
+    half = len(records) // 2
+    live = TraceStore()
+    live.ingest_cycle_records(records[:half])
+    query = TraceQuery(live, shared.program)
+    assert query.attribute() == replay_golden(records[:half])
+    live.ingest_cycle_records(records[half:])
+    grown = query.attribute()
+    assert list(grown.items()) == list(replay_golden(records).items())
+    assert grown == shared.attribute()
 
 
 def test_state_filters_partition_total(x264):
@@ -195,6 +288,18 @@ def test_filter_samples_predicates(x264):
     assert all(lo <= index < hi for index, _psv in ranged)
     flushy = query.filter_samples(psv_any=1 << Event.FL_MB)
     assert all(psv & (1 << Event.FL_MB) for _index, psv in flushy)
+
+
+def test_unknown_sampler_reads_nothing_and_interns_nothing(x264):
+    _run, query = x264
+    pool = query.store.strings
+    before = pool.to_list()
+    assert query.filter_samples(sampler="NOPE") == {}
+    assert query.filter_samples(sampler="NOPE", min_weight=0.0) == {}
+    assert query.store.raw_profile("NOPE") == {}
+    assert pool.to_list() == before
+    assert pool.lookup("NOPE") is None
+    assert pool.lookup("TEA") == before.index("TEA")
 
 
 def test_labels(x264):
